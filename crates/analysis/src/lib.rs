@@ -20,7 +20,8 @@
 //! rule-level fix via `barre lint --fix` ([`fix`]). Output renders as
 //! human text, `barre-lint/2` JSON ([`report`]) or SARIF 2.1.0
 //! ([`sarif`]). Zero external dependencies by design — the workspace
-//! builds offline.
+//! builds offline; JSON is read and written with the workspace codec,
+//! `barre_trace::json`.
 //!
 //! Run it via `barre lint`; see DESIGN.md §4.11 for the architecture
 //! and the full rule table.
@@ -29,7 +30,6 @@ pub mod baseline;
 pub mod callgraph;
 pub mod fix;
 pub mod index;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod passes;

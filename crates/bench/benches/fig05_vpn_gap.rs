@@ -24,13 +24,15 @@ fn main() {
         ] {
             let m = run_app(app, &cfg, SEED).expect("Fig 5 run failed");
             println!("\n{} / {label}: {}", app.name(), m.vpn_gap);
-            print!("  gap<=: ");
+            // Each bucket is labelled with its lower bound `lo` and
+            // holds gaps in [lo, 2*lo); the `1` bucket also holds 0.
+            print!("  gap>=: ");
             for (bound, count) in m.vpn_gap.buckets() {
                 print!("{bound}:{count} ");
             }
             println!();
             println!(
-                "  fraction of gaps <= 8 pages: {:.1}%  (higher = more predictable)",
+                "  fraction of gaps < 16 pages: {:.1}%  (higher = more predictable)",
                 m.vpn_gap.fraction_le(8) * 100.0
             );
         }

@@ -536,7 +536,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         return Ok(Command::Lint { opts });
     }
-    let mut cfg = SystemConfig::scaled();
+    // `--paper`/`--smoke` pick the base configuration wherever they
+    // appear (the last one wins); every other config flag applies on
+    // top of it, so no flag is lost to a preset given after it.
+    let mut cfg = match args
+        .iter()
+        .rev()
+        .find(|a| *a == "--paper" || *a == "--smoke")
+    {
+        Some(p) if p == "--paper" => SystemConfig::paper(),
+        Some(_) => barre_system::smoke_config(),
+        None => SystemConfig::scaled(),
+    };
     let mut seed = 0x15CA_2024u64;
     let mut app = None;
     let mut apps: Option<Vec<AppId>> = None;
@@ -570,8 +581,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .ok_or_else(|| err(format!("flag {flag} needs a value")))
         };
         match flag {
-            "--paper" => cfg = SystemConfig::paper().with_mode(cfg.mode),
-            "--smoke" => cfg = barre_system::smoke_config().with_mode(cfg.mode),
+            "--paper" | "--smoke" => {}
             "--supervise" => supervise = true,
             "--dispatch" => dispatch_addr = Some(value(&mut i)?),
             "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i)?)),
@@ -2046,5 +2056,45 @@ mod tests {
         assert!(p(&["lint", "--no-baseline", "--baseline", "b.json"]).is_err());
         assert!(p(&["lint", "--max-waivers", "lots"]).is_err());
         assert!(p(&["lint", "--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn presets_keep_config_flags_in_any_position() {
+        let cfg_of = |args: &[&str]| match p(args).unwrap() {
+            Command::Run { cfg, .. } => format!("{cfg:?}"),
+            other => panic!("wrong command {other:?}"),
+        };
+        assert_eq!(
+            cfg_of(&["run", "--app", "pr", "--migration", "--smoke"]),
+            cfg_of(&["run", "--app", "pr", "--smoke", "--migration"])
+        );
+        let flags = [
+            "--migration",
+            "--gmmu",
+            "--chiplets",
+            "2",
+            "--ptws",
+            "4",
+            "--policy",
+            "coda",
+            "--page-size",
+            "64k",
+            "--frames",
+            "4096",
+            "--mode",
+            "fbarre",
+        ];
+        for preset in ["--smoke", "--paper"] {
+            let base = ["run", "--app", "pr", preset];
+            let first: Vec<&str> = base.iter().chain(&flags).copied().collect();
+            let last: Vec<&str> = base[..3]
+                .iter()
+                .chain(&flags)
+                .chain([&preset])
+                .copied()
+                .collect();
+            assert_eq!(cfg_of(&first), cfg_of(&last), "{preset}");
+            assert_ne!(cfg_of(&first), cfg_of(&base), "{preset}: flags must apply");
+        }
     }
 }

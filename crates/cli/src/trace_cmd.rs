@@ -6,7 +6,7 @@
 //! compact JSONL stream (when `--out` ends in `.jsonl`). `report` reads
 //! either export back — or a sweep journal — and prints per-stage
 //! p50/p95/p99 latency tables plus the top-N slowest journeys. All
-//! parsing goes through `barre_system::Json`, whose exact-text number
+//! parsing goes through the workspace codec `barre_trace::json`, whose exact-text number
 //! handling keeps round-trips lossless.
 //!
 //! `report --fleet <dirs…>` stitches the per-process
@@ -19,8 +19,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use barre_system::{trace_app, JournalEvent, Json, SystemConfig};
+use barre_system::{trace_app, JournalEvent, SystemConfig};
 use barre_trace::export::{chrome_trace, jsonl, TraceMeta};
+use barre_trace::json::{quote, Json};
 use barre_trace::{LatencyHistogram, Stage, TraceOptions};
 use barre_workloads::AppId;
 
@@ -588,19 +589,6 @@ fn derive_spans(job: &mut FleetJob) {
     job.spans = spans;
 }
 
-fn push_esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the stitched jobs as one Chrome-trace/Perfetto document:
 /// a single `barre fleet` process with one thread (track) per job,
 /// phase spans as `X` events and the raw point events as instants.
@@ -619,42 +607,38 @@ fn render_fleet_chrome(jobs: &[FleetJob], t0: u64) -> String {
         };
         let _ = write!(
             s,
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
+            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            quote(track)
         );
-        push_esc(&mut s, track);
-        s.push_str("\"}}");
         for span in &job.spans {
             let dur = us(span.end_ms).saturating_sub(us(span.start_ms)).max(1);
             let _ = write!(
                 s,
-                ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":1,\"tid\":{tid},\"args\":{{\"corr\":\"",
-                span.name,
+                ",\n{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"corr\":{},\"fp\":{},\"detail\":{}}}}}",
+                quote(span.name),
                 us(span.start_ms),
+                quote(&job.key),
+                quote(&job.fp),
+                quote(&span.detail),
             );
-            push_esc(&mut s, &job.key);
-            s.push_str("\",\"fp\":\"");
-            push_esc(&mut s, &job.fp);
-            s.push_str("\",\"detail\":\"");
-            push_esc(&mut s, &span.detail);
-            s.push_str("\"}}");
         }
         for e in &job.events {
             let _ = write!(
                 s,
-                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"role\":\"",
-                e.event,
+                ",\n{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"role\":{}",
+                quote(&e.event),
                 us(e.ts_ms),
+                quote(&e.role),
             );
-            push_esc(&mut s, &e.role);
             if !e.worker.is_empty() {
-                s.push_str("\",\"worker\":\"");
-                push_esc(&mut s, &e.worker);
+                let _ = write!(s, ",\"worker\":{}", quote(&e.worker));
             }
             if !e.exit.is_empty() {
-                s.push_str("\",\"exit\":\"");
-                push_esc(&mut s, &e.exit);
+                let _ = write!(s, ",\"exit\":{}", quote(&e.exit));
             }
-            s.push_str("\"}}");
+            s.push_str("}}");
         }
     }
     s.push_str("\n]}\n");

@@ -11,7 +11,7 @@
 //! DESIGN.md / CHANGES.md.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use barre_bench::wallclock::{bench_apps, bench_modes};
 use barre_bench::SEED;
@@ -22,15 +22,27 @@ use barre_system::{metrics_digest, run_spec};
 /// integration-test binary (each Cargo integration test is its own
 /// crate), so the simulator crates stay free of process globals and the
 /// R001 parallel-readiness audit keeps its READY verdict.
+///
+/// The count is per thread: libtest runs the tests of this binary on
+/// parallel threads, and a process-wide count would charge the probe
+/// with every allocation the golden sweep makes meanwhile.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init with no destructor: touching it never allocates and
+    // stays valid through thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed
-// atomic with no further invariants.
+fn bump() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counter is a plain
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// `(app, mode, metrics_digest, total_cycles, events_processed)` for

@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_barre");
 
@@ -106,15 +106,35 @@ impl Daemon {
     }
 
     /// Direct child pids, from procfs (Linux). Used to reap the orphans a
-    /// SIGKILLed worker leaves behind.
+    /// SIGKILLed worker leaves behind. procfs lists children per spawning
+    /// thread, and the worker spawns its attempts off the main thread, so
+    /// every thread's list is read.
     fn children(&self) -> Vec<u32> {
         let pid = self.child.id();
-        std::fs::read_to_string(format!("/proc/{pid}/task/{pid}/children"))
-            .unwrap_or_default()
-            .split_whitespace()
-            .filter_map(|t| t.parse().ok())
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task"));
+        tasks
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|t| std::fs::read_to_string(t.path().join("children")).ok())
+            .flat_map(|list| {
+                list.split_whitespace()
+                    .filter_map(|t| t.parse().ok())
+                    .collect::<Vec<u32>>()
+            })
             .collect()
     }
+}
+
+/// One raw line to a daemon's JSONL port; returns the reply line.
+fn send_line(addr: &str, line: &str) -> String {
+    use std::io::Write;
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    writeln!(s, "{line}").expect("send");
+    let mut reply = String::new();
+    BufReader::new(s).read_line(&mut reply).expect("reply");
+    reply
 }
 
 /// HTTP GET against a daemon's shim; returns (status, headers, body).
@@ -223,6 +243,18 @@ fn distributed_sweep_is_byte_identical_to_serial() {
     assert!(text(&m1.stdout).contains("2 record(s), 2 done"));
     assert!(text(&m2.stdout).contains("2 record(s), 2 done"));
 
+    // A 100 000-deep line on the wire port gets an error reply, and the
+    // coordinator still answers its health check (and drains below).
+    let reply = send_line(&addr, &"[".repeat(100_000));
+    let v = barre_system::Json::parse(reply.trim()).expect("reply is JSON");
+    assert_eq!(
+        v.get("status").and_then(|s| s.as_str()),
+        Some("error"),
+        "{reply}"
+    );
+    assert!(reply.contains("nesting"), "{reply}");
+    assert_eq!(http_get(&addr, "/healthz").0, 200);
+
     // Graceful teardown: workers drain with a resume hint, the
     // coordinator compacts its journal and reports a clean drain.
     w1.signal("-TERM");
@@ -273,12 +305,20 @@ fn sigkilled_worker_lease_expires_and_redispatches() {
         .stderr(Stdio::piped());
     let client = client.spawn().expect("spawn dispatch client");
 
-    // Let w1 lease job 0 and start hanging, then SIGKILL it mid-lease.
-    // Its hung child would be orphaned in an hour-long sleep, so note the
-    // child pids first and kill them too (best-effort: the sweep
-    // completes either way).
-    std::thread::sleep(Duration::from_millis(1500));
-    let orphans = w1.children();
+    // Wait until w1 has leased job 0 and spawned its hanging child, then
+    // SIGKILL it mid-lease. The hung child would be orphaned in an
+    // hour-long sleep, so note its pid first and kill it too. Polling
+    // (not a fixed sleep) matters on a loaded host: a snapshot taken
+    // before the child exists would leak it past the test run.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let orphans = loop {
+        let kids = w1.children();
+        if !kids.is_empty() || Instant::now() > deadline {
+            break kids;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(!orphans.is_empty(), "w1 never spawned its hanging child");
     w1.signal("-KILL");
     w1.reap();
     for pid in orphans {

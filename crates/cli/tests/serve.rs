@@ -212,6 +212,13 @@ fn serve_cache_hits_are_byte_identical_and_survive_restart() {
     );
     assert!(metrics.ends_with('\n'), "exposition must end with newline");
 
+    // A 100 000-deep request line is a structured 400 like any other bad
+    // JSON, and the daemon lives on to answer its health check.
+    let deep = d.request(&"[".repeat(100_000));
+    assert_eq!(json_u64(&deep, &["code"]), 400, "{deep}");
+    assert!(json_str(&deep, "error").contains("nesting"), "{deep}");
+    assert_eq!(d.http_get("/healthz").0, 200);
+
     // SIGTERM: graceful drain, exit 0, flushed cache index.
     let (exit, stderr) = d.stop("-TERM");
     assert_eq!(exit, 0, "stderr: {stderr}");

@@ -6,16 +6,135 @@
 //! `GET /metrics` (Prometheus text exposition, format 0.0.4). Every
 //! response closes the connection; request headers are read and
 //! discarded. Anything fancier belongs behind a real proxy.
+//!
+//! [`serve_conn`] runs one connection for either daemon: JSONL
+//! request/response lines, or one HTTP exchange with this shim, told
+//! apart by the first line.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
+
+use crate::signal::shutting_down;
 
 /// `Content-Type` for the JSON endpoints.
-pub const CT_JSON: &str = "application/json";
+const CT_JSON: &str = "application/json";
 
 /// `Content-Type` for `/metrics` (Prometheus text exposition).
-pub const CT_METRICS: &str = barre_obs::metrics::CONTENT_TYPE;
+const CT_METRICS: &str = barre_obs::metrics::CONTENT_TYPE;
+
+/// One connection: JSONL request/response until EOF, or a single HTTP
+/// exchange (closed after its response). `on_line` answers one request
+/// line; `None` closes the connection without a reply. `stats_body` and
+/// `metrics_body` render `/stats` and `/metrics` on demand. Read
+/// timeouts keep the thread responsive to drain signals.
+pub fn serve_conn(
+    stream: TcpStream,
+    mut on_line: impl FnMut(&str) -> Option<String>,
+    stats_body: impl FnOnce() -> String,
+    metrics_body: impl FnOnce() -> String,
+) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    let Ok(mut out) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        match reader.read_line(&mut line) {
+            Ok(0) => return,
+            Ok(_) => {
+                let trimmed = line.trim();
+                if trimmed.is_empty() {
+                    line.clear();
+                    continue;
+                }
+                if looks_like_http(trimmed) {
+                    let first = trimmed.to_string();
+                    answer_http(&first, &mut reader, &mut out, stats_body, metrics_body);
+                    return;
+                }
+                let Some(resp) = on_line(trimmed) else {
+                    return;
+                };
+                line.clear();
+                if write_line(&mut out, &resp).is_err() {
+                    return;
+                }
+            }
+            // Timeout with a partial line still buffered in `line`: keep
+            // accumulating on the next pass.
+            Err(e) if is_timeout(&e) => {
+                if shutting_down() {
+                    return;
+                }
+            }
+            Err(_) => return,
+        }
+    }
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Answers the HTTP shim for one already-read request line, discarding
+/// headers, writing the response, and closing.
+fn answer_http(
+    first_line: &str,
+    reader: &mut impl BufRead,
+    out: &mut TcpStream,
+    stats_body: impl FnOnce() -> String,
+    metrics_body: impl FnOnce() -> String,
+) {
+    // Drain headers until the blank line (bounded; clients are trusted
+    // probes, not adversaries, but don't loop forever).
+    let mut line = String::new();
+    for _ in 0..128 {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) if line.trim().is_empty() => break,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => continue,
+            Err(_) => return,
+        }
+    }
+    let (code, reason, content_type, body) = match parse_request_line(first_line) {
+        Some((method, path)) => route(method, path, shutting_down(), stats_body, metrics_body),
+        None => (
+            400,
+            "Bad Request",
+            CT_JSON,
+            "{\"error\":\"bad request\"}".to_string(),
+        ),
+    };
+    let _ = out.write_all(render_http(code, reason, content_type, &body).as_bytes());
+    let _ = out.flush();
+}
+
+/// Sends one JSONL line: `line` and its `\n` in a single `write_all`,
+/// then a flush. Writing the newline separately would make it a second
+/// small TCP segment, which waits on the peer's delayed ACK (~40 ms).
+///
+/// # Errors
+///
+/// The socket's write or flush error.
+pub fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    out.write_all(buf.as_bytes())?;
+    out.flush()
+}
 
 /// Splits an HTTP request line (`"GET /stats HTTP/1.1"`) into method and
 /// path; `None` when it isn't one.
-pub fn parse_request_line(line: &str) -> Option<(&str, &str)> {
+fn parse_request_line(line: &str) -> Option<(&str, &str)> {
     let mut parts = line.split_whitespace();
     let method = parts.next()?;
     let path = parts.next()?;
@@ -27,12 +146,12 @@ pub fn parse_request_line(line: &str) -> Option<(&str, &str)> {
 }
 
 /// Whether a protocol line opens an HTTP exchange (vs a JSONL request).
-pub fn looks_like_http(line: &str) -> bool {
+fn looks_like_http(line: &str) -> bool {
     line.starts_with("GET ") || line.starts_with("HEAD ") || line.starts_with("POST ")
 }
 
 /// Renders a complete HTTP/1.1 response with the given `Content-Type`.
-pub fn render_http(code: u16, reason: &str, content_type: &str, body: &str) -> String {
+fn render_http(code: u16, reason: &str, content_type: &str, body: &str) -> String {
     format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -42,7 +161,7 @@ pub fn render_http(code: u16, reason: &str, content_type: &str, body: &str) -> S
 /// Routes a health-endpoint path to `(code, reason, content_type,
 /// body)`. `stats_body` and `metrics_body` are rendered lazily — only
 /// the endpoint asked for pays for its snapshot.
-pub fn route(
+fn route(
     method: &str,
     path: &str,
     draining: bool,

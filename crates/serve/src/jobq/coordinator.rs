@@ -10,8 +10,8 @@
 //! are re-queued, and burned lease budgets survive so a poison job
 //! cannot launder its history through a coordinator crash.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -491,99 +491,6 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
     Some(reply.to_line())
 }
 
-/// Serves the HTTP shim for one already-read request line (same contract
-/// as the serve daemon's).
-fn handle_http(sh: &Shared, first_line: &str, reader: &mut impl BufRead, out: &mut TcpStream) {
-    let mut line = String::new();
-    for _ in 0..128 {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-    let (code, reason, content_type, body) = match http::parse_request_line(first_line) {
-        Some((method, path)) => http::route(
-            method,
-            path,
-            shutting_down(),
-            || sh.stats_body(),
-            || sh.metrics_body(),
-        ),
-        None => (
-            400,
-            "Bad Request",
-            http::CT_JSON,
-            "{\"error\":\"bad request\"}".to_string(),
-        ),
-    };
-    let _ = out.write_all(http::render_http(code, reason, content_type, &body).as_bytes());
-    let _ = out.flush();
-}
-
-/// One connection: JSONL request/response until EOF, or one HTTP
-/// exchange. Read timeouts keep the thread responsive to drain signals.
-fn handle_conn(sh: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                if http::looks_like_http(trimmed) {
-                    let first = trimmed.to_string();
-                    handle_http(sh, &first, &mut reader, &mut out);
-                    return;
-                }
-                let resp = match handle_request_line(sh, trimmed) {
-                    Some(r) => r,
-                    // Simulated partition: vanish without a reply.
-                    None => return,
-                };
-                line.clear();
-                if out.write_all(resp.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Atomically replaces the journal with the compacted record sequence
 /// (temp file + rename), then reopens an append writer on it.
 fn compact_journal(path: &Path, state: &QueueState) -> Result<JournalWriter, JournalError> {
@@ -828,7 +735,14 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let sh = Arc::clone(&sh);
-                conn_handles.push(std::thread::spawn(move || handle_conn(&sh, stream)));
+                conn_handles.push(std::thread::spawn(move || {
+                    http::serve_conn(
+                        stream,
+                        |line| handle_request_line(&sh, line),
+                        || sh.stats_body(),
+                        || sh.metrics_body(),
+                    );
+                }));
             }
             Err(e)
                 if matches!(

@@ -6,12 +6,12 @@
 //! the wire format inherits the journal's digest discipline and both
 //! ends reuse one parser instead of re-describing `RunMetrics` here.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use barre_system::journal::json_escape;
-use barre_system::{JournalRecord, Json};
+use barre_system::JournalRecord;
+use barre_trace::json::{quote, Json};
 
 use super::state::JobSpec;
 
@@ -26,10 +26,7 @@ pub fn exchange(addr: &str, req: &Request) -> Result<Reply, String> {
     let mut out = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
-    out.write_all(req.to_line().as_bytes())
-        .and_then(|()| out.write_all(b"\n"))
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("send: {e}"))?;
+    crate::http::write_line(&mut out, &req.to_line()).map_err(|e| format!("send: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     match reader.read_line(&mut line) {
@@ -190,7 +187,7 @@ fn want_bool(v: &Json, key: &str) -> Result<bool, String> {
 }
 
 fn render_args(args: &[String]) -> String {
-    let parts: Vec<String> = args.iter().map(|a| json_escape(a)).collect();
+    let parts: Vec<String> = args.iter().map(|a| quote(a)).collect();
     format!("[{}]", parts.join(","))
 }
 
@@ -205,12 +202,12 @@ impl Request {
                         let corr = j
                             .corr
                             .as_deref()
-                            .map(|c| format!(",\"corr\":{}", json_escape(c)))
+                            .map(|c| format!(",\"corr\":{}", quote(c)))
                             .unwrap_or_default();
                         format!(
                             "{{\"fingerprint\":{},\"label\":{},\"args\":{}{corr}}}",
-                            json_escape(&j.fingerprint),
-                            json_escape(&j.label),
+                            quote(&j.fingerprint),
+                            quote(&j.label),
                             render_args(&j.args),
                         )
                     })
@@ -218,20 +215,20 @@ impl Request {
                 format!("{{\"op\":\"submit\",\"jobs\":[{}]}}", parts.join(","))
             }
             Request::Lease { worker } => {
-                format!("{{\"op\":\"lease\",\"worker\":{}}}", json_escape(worker))
+                format!("{{\"op\":\"lease\",\"worker\":{}}}", quote(worker))
             }
             Request::Heartbeat {
                 worker,
                 fingerprint,
             } => format!(
                 "{{\"op\":\"heartbeat\",\"worker\":{},\"fingerprint\":{}}}",
-                json_escape(worker),
-                json_escape(fingerprint),
+                quote(worker),
+                quote(fingerprint),
             ),
             Request::Complete { worker, record } => format!(
                 "{{\"op\":\"complete\",\"worker\":{},\"record\":{}}}",
-                json_escape(worker),
-                json_escape(&record.to_line()),
+                quote(worker),
+                quote(&record.to_line()),
             ),
             Request::Fail {
                 worker,
@@ -241,9 +238,9 @@ impl Request {
                 permanent,
             } => format!(
                 "{{\"op\":\"fail\",\"worker\":{},\"fingerprint\":{},\"attempts\":{attempts},\"exit\":{},\"permanent\":{permanent}}}",
-                json_escape(worker),
-                json_escape(fingerprint),
-                json_escape(exit),
+                quote(worker),
+                quote(fingerprint),
+                quote(exit),
             ),
             Request::Collect { fingerprints } => format!(
                 "{{\"op\":\"collect\",\"fingerprints\":{}}}",
@@ -330,12 +327,12 @@ impl Reply {
             } => {
                 let corr = corr
                     .as_deref()
-                    .map(|c| format!(",\"corr\":{}", json_escape(c)))
+                    .map(|c| format!(",\"corr\":{}", quote(c)))
                     .unwrap_or_default();
                 format!(
                     "{{\"status\":\"job\",\"fingerprint\":{},\"label\":{},\"args\":{},\"lease_ms\":{lease_ms}{corr}}}",
-                    json_escape(fingerprint),
-                    json_escape(label),
+                    quote(fingerprint),
+                    quote(label),
                     render_args(args),
                 )
             }
@@ -349,7 +346,7 @@ impl Reply {
             Reply::HeartbeatOk => "{\"status\":\"ok\"}".to_string(),
             Reply::HeartbeatLost => "{\"status\":\"lost\"}".to_string(),
             Reply::Completed { verdict } => {
-                format!("{{\"status\":{}}}", json_escape(verdict))
+                format!("{{\"status\":{}}}", quote(verdict))
             }
             Reply::Failed {
                 requeued,
@@ -363,14 +360,14 @@ impl Reply {
                 records,
             } => {
                 let parts: Vec<String> =
-                    records.iter().map(|r| json_escape(&r.to_line())).collect();
+                    records.iter().map(|r| quote(&r.to_line())).collect();
                 format!(
                     "{{\"status\":\"collected\",\"pending\":{pending},\"unknown\":{unknown},\"records\":[{}]}}",
                     parts.join(","),
                 )
             }
             Reply::Error { error } => {
-                format!("{{\"status\":\"error\",\"error\":{}}}", json_escape(error))
+                format!("{{\"status\":\"error\",\"error\":{}}}", quote(error))
             }
         }
     }

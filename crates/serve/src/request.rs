@@ -31,8 +31,8 @@
 //! `timeout_ms` are deliberately excluded from the argv: they change
 //! how a request is handled, never what it computes.
 
-use barre_system::journal::json_escape;
 use barre_system::{fingerprint, FBarreConfig, TranslationMode};
+use barre_trace::json::{quote, Json};
 use barre_workloads::AppId;
 
 /// Resolves an application by its Table I abbreviation.
@@ -153,20 +153,20 @@ struct Fields {
     migration: bool,
 }
 
-fn want_str(key: &str, v: &barre_system::Json) -> Result<String, String> {
+fn want_str(key: &str, v: &Json) -> Result<String, String> {
     v.as_str()
         .map(str::to_string)
         .ok_or_else(|| format!("field {key} must be a string"))
 }
 
-fn want_u64(key: &str, v: &barre_system::Json) -> Result<u64, String> {
+fn want_u64(key: &str, v: &Json) -> Result<u64, String> {
     v.as_u64()
         .ok_or_else(|| format!("field {key} must be a non-negative integer"))
 }
 
-fn want_bool(key: &str, v: &barre_system::Json) -> Result<bool, String> {
+fn want_bool(key: &str, v: &Json) -> Result<bool, String> {
     match v {
-        barre_system::Json::Bool(b) => Ok(*b),
+        Json::Bool(b) => Ok(*b),
         _ => Err(format!("field {key} must be a boolean")),
     }
 }
@@ -178,7 +178,7 @@ fn want_bool(key: &str, v: &barre_system::Json) -> Result<bool, String> {
 /// A human-readable description of the first problem (returned to the
 /// client in a `400`-style response).
 pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
-    let v = barre_system::Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let v = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     let pairs = v.as_obj().ok_or("request must be a JSON object")?;
     let mut f = Fields {
         id: None,
@@ -240,7 +240,7 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
                 );
             }
             "ptws" => match val {
-                barre_system::Json::Str(s) if s == "inf" => f.ptws = Some("inf".to_string()),
+                Json::Str(s) if s == "inf" => f.ptws = Some("inf".to_string()),
                 _ => {
                     let n = val
                         .as_u64()
@@ -347,7 +347,7 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
 
 fn id_field(id: Option<&str>) -> String {
     match id {
-        Some(id) => format!(",\"id\":{}", json_escape(id)),
+        Some(id) => format!(",\"id\":{}", quote(id)),
         None => String::new(),
     }
 }
@@ -368,10 +368,10 @@ pub fn render_ok(
     format!(
         "{{\"status\":\"ok\"{}{},\"label\":{},\"digest\":{},\"hist_digest\":{},\"metrics\":{}}}",
         id_field(id),
-        format_args!(",\"fingerprint\":{}", json_escape(fp)),
-        json_escape(label),
-        json_escape(digest),
-        json_escape(hist_digest),
+        format_args!(",\"fingerprint\":{}", quote(fp)),
+        quote(label),
+        quote(digest),
+        quote(hist_digest),
         metrics_json
     )
 }
@@ -381,9 +381,9 @@ pub fn render_ok(
 pub fn render_reject(id: Option<&str>, status: &str, code: u16, error: &str) -> String {
     format!(
         "{{\"status\":{}{},\"code\":{code},\"error\":{}}}",
-        json_escape(status),
+        quote(status),
         id_field(id),
-        json_escape(error)
+        quote(error)
     )
 }
 
@@ -502,7 +502,7 @@ mod tests {
             render_shed(Some("i2"), 1500),
         ] {
             assert!(!line.contains('\n'));
-            assert!(barre_system::Json::parse(&line).is_ok(), "{line}");
+            assert!(Json::parse(&line).is_ok(), "{line}");
         }
     }
 }

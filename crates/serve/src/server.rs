@@ -8,7 +8,7 @@
 //! under the per-request deadline with supervisor-style retry
 //! classification. See the crate docs for the full request path.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -306,48 +306,6 @@ fn handle_request_line(sh: &Shared, line: &str) -> String {
         .unwrap_or_else(|_| render_reject(id, "error", 500, "worker pool unavailable"))
 }
 
-/// Serves the HTTP shim for one already-read request line, discarding
-/// headers, writing the response, and closing.
-fn handle_http(sh: &Shared, first_line: &str, reader: &mut impl BufRead, out: &mut TcpStream) {
-    // Drain headers until the blank line (bounded; clients are trusted
-    // probes, not adversaries, but don't loop forever).
-    let mut line = String::new();
-    for _ in 0..128 {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-    let (code, reason, content_type, body) = match http::parse_request_line(first_line) {
-        Some((method, path)) => http::route(
-            method,
-            path,
-            shutting_down(),
-            || sh.stats_body(),
-            || sh.metrics_body(),
-        ),
-        None => (
-            400,
-            "Bad Request",
-            http::CT_JSON,
-            "{\"error\":\"bad request\"}".to_string(),
-        ),
-    };
-    let _ = out.write_all(http::render_http(code, reason, content_type, &body).as_bytes());
-    let _ = out.flush();
-}
-
 /// Streams one completed request's trace summary as a debug-level
 /// structured log event — the fields a fleet dashboard tails: status,
 /// fingerprint, and wall-clock latency. The response line is already
@@ -357,13 +315,13 @@ fn log_request_summary(resp: &str, ms: u64) {
     if !olog::enabled(olog::Level::Debug) {
         return;
     }
-    let parsed = barre_system::Json::parse(resp);
+    let parsed = barre_trace::json::Json::parse(resp);
     let field = |k: &str| {
         parsed
             .as_ref()
             .ok()
             .and_then(|v| v.get(k))
-            .and_then(barre_system::Json::as_str)
+            .and_then(barre_trace::json::Json::as_str)
             .unwrap_or("")
             .to_string()
     };
@@ -380,60 +338,21 @@ fn log_request_summary(resp: &str, ms: u64) {
     );
 }
 
-/// One connection: JSONL request/response until EOF (or an HTTP exchange,
-/// which closes after one response). Read timeouts keep the thread
-/// responsive to drain signals.
+/// One connection, timing and logging every request it answers.
 fn handle_conn(sh: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                if http::looks_like_http(trimmed) {
-                    let first = trimmed.to_string();
-                    handle_http(sh, &first, &mut reader, &mut out);
-                    return;
-                }
-                let started = Instant::now();
-                let resp = handle_request_line(sh, trimmed);
-                line.clear();
-                let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                sh.stats.record_latency_ms(ms);
-                log_request_summary(&resp, ms);
-                if out.write_all(resp.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
-                    return;
-                }
-            }
-            // Timeout with a partial line still buffered in `line`: keep
-            // accumulating on the next pass.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+    http::serve_conn(
+        stream,
+        |line| {
+            let started = Instant::now();
+            let resp = handle_request_line(sh, line);
+            let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+            sh.stats.record_latency_ms(ms);
+            log_request_summary(&resp, ms);
+            Some(resp)
+        },
+        || sh.stats_body(),
+        || sh.metrics_body(),
+    );
 }
 
 /// Runs the daemon until a drain signal, then drains and exits.

@@ -111,8 +111,8 @@ impl fmt::Display for RatioStat {
 /// (Fig 5 uses this to plot the gap distribution of consecutive IOMMU
 /// requests).
 ///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)`; bucket 0 counts zeros
-/// and ones.
+/// Bucket `i` counts samples in `[2^i, 2^(i+1))`, except that bucket 0
+/// counts both zeros and ones.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -172,7 +172,7 @@ impl Histogram {
     }
 
     /// The raw bucket counts, including empty buckets (bucket `i` counts
-    /// samples in `[2^(i-1), 2^i)`; bucket 0 counts zeros and ones).
+    /// samples in `[2^i, 2^(i+1))`; bucket 0 counts zeros and ones).
     /// Together with [`Histogram::count`], [`Histogram::sum`] and
     /// [`Histogram::max`] this is the histogram's full state, which the
     /// run journal serializes so a resumed sweep reproduces metrics
@@ -195,7 +195,9 @@ impl Histogram {
         }
     }
 
-    /// `(bucket_upper_bound, count)` pairs for nonempty buckets.
+    /// `(bucket_lower_bound, count)` pairs for nonempty buckets: the
+    /// bucket labelled `2^i` holds samples in `[2^i, 2^(i+1))` (the one
+    /// labelled 1 also holds zeros).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
@@ -204,7 +206,11 @@ impl Histogram {
             .map(|(i, &c)| (1u64 << i, c))
     }
 
-    /// Fraction of samples ≤ `value`.
+    /// Fraction of samples in the buckets up to and including the one
+    /// holding `value`: every sample below `2^(floor(log2 value) + 1)`,
+    /// or below 2 when `value` ≤ 1. So `fraction_le(8)` counts every
+    /// sample < 16; it over-counts "≤ `value`" by the rest of that
+    /// bucket.
     pub fn fraction_le(&self, value: u64) -> f64 {
         if self.count == 0 {
             return 0.0;

@@ -41,6 +41,9 @@ pub mod runner;
 #[cfg(feature = "sanitizer")]
 pub mod sanitizer;
 
+/// The workspace JSON codec's value type, re-exported for callers that
+/// read journals and metrics documents through this crate.
+pub use barre_trace::json::Json;
 pub use config::{
     AtsRetryConfig, DemandPagingConfig, FBarreConfig, MigrationConfig, MmuKind, SystemConfig,
     TranslationMode,
@@ -49,7 +52,7 @@ pub use error::SimError;
 pub use journal::{
     completed_index, fingerprint, merge_journals, metrics_digest, metrics_from_json,
     metrics_hist_digest, metrics_to_json, read_journal, read_journal_lenient, verified_done_index,
-    JournalError, JournalEvent, JournalRecord, JournalWriter, Json, JOURNAL_FILE,
+    JournalError, JournalEvent, JournalRecord, JournalWriter, JOURNAL_FILE,
 };
 pub use machine::{L2Payload, Machine};
 pub use metrics::{geomean, speedup, RunMetrics};

@@ -13,6 +13,9 @@
 //!   skips-and-counts bad lines, and never yields a `done` record whose
 //!   digest fails verification — a digest-failing record must be
 //!   dropped, not served.
+//! * [`barre_trace::json::Json::parse`] (the codec under both): seeded
+//!   truncations, bit flips and garbage splices over the journal, trace
+//!   and lint document shapes always come back `Ok` or `Err`.
 
 use std::path::PathBuf;
 
@@ -20,6 +23,9 @@ use barre_system::{
     metrics_digest, metrics_hist_digest, read_journal, read_journal_lenient, verified_done_index,
     JournalError, JournalEvent, JournalRecord, JournalWriter, RunMetrics,
 };
+use barre_trace::export::{chrome_trace, TraceMeta};
+use barre_trace::json::Json;
+use barre_trace::{Stage, StageMask, TraceOptions, Tracer};
 
 /// Deterministic split-mix style generator so every corruption is
 /// reproducible from its seed — no ambient entropy in tests either.
@@ -247,5 +253,95 @@ fn bitflipped_metrics_are_dropped_from_the_verified_index() {
     assert_eq!(dropped, 1, "digest mismatch must be dropped");
     assert!(!index.contains_key("fp00"));
     assert!(index.contains_key("fp01"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small Chrome-trace export: spans on two chiplets plus histograms.
+fn trace_doc() -> String {
+    let mut t = Tracer::recording(&TraceOptions {
+        window: 16,
+        filter: StageMask::all(),
+    });
+    for (i, stage) in Stage::ALL.iter().enumerate() {
+        let i = i as u64;
+        t.span(*stage, i, (i % 2) as u16, 10 * i, 10 * i + 7 + i * i);
+    }
+    let rec = t.take_recorder().expect("recording tracer");
+    let meta = TraceMeta {
+        app: "gups".into(),
+        mode: "fbarre".into(),
+        seed: 7,
+        window: 16,
+    };
+    chrome_trace(&rec, &meta)
+}
+
+/// The codec itself, on the three document shapes it reads in practice:
+/// it must return (`Ok` or `Err`) on every mutation, never panic or
+/// overflow the stack.
+#[test]
+fn json_reader_never_panics_on_mutated_documents() {
+    let dir = tmpdir("json");
+    let journal = String::from_utf8(clean_journal(&dir, 2)).expect("utf8");
+    let done_line = journal
+        .lines()
+        .find(|l| l.contains("\"event\":\"done\""))
+        .expect("a done record")
+        .to_string();
+    let shapes = [
+        ("journal", done_line),
+        ("trace", trace_doc()),
+        (
+            "lint",
+            include_str!("../../../lint-baseline.json").to_string(),
+        ),
+    ];
+    let deep = "[".repeat(100_000);
+    let garbage: [&[u8]; 9] = [
+        deep.as_bytes(),
+        b"{\"a\":{\"a\":{\"a\":",
+        b"\\u",
+        b"\\ud800",
+        b"\"",
+        b"\\",
+        b",,]}",
+        b"-1e",
+        b"\xff\xfe\x00",
+    ];
+    for (shape, doc) in &shapes {
+        assert!(
+            Json::parse(doc).is_ok(),
+            "{shape}: clean document must parse"
+        );
+        let bytes = doc.as_bytes();
+        for seed in 0..64u64 {
+            let mut rng = Rng(seed ^ 0x4a53_4f4e);
+            let parses = |b: &[u8]| Json::parse(&String::from_utf8_lossy(b)).is_ok();
+
+            // A cut document is only complete if all it lost was the
+            // trailing whitespace.
+            let at = rng.below(bytes.len());
+            let whole = bytes[at..].iter().all(u8::is_ascii_whitespace);
+            assert_eq!(
+                parses(&bytes[..at]),
+                whole,
+                "{shape} seed {seed}: cut at {at}"
+            );
+
+            // Bit flips and splices (including nesting far past the cap)
+            // may go either way; returning at all is the property.
+            let mut flipped = bytes.to_vec();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(flipped.len());
+                flipped[at] ^= 1u8 << rng.below(8);
+            }
+            parses(&flipped);
+            let mut spliced = bytes.to_vec();
+            let at = rng.below(spliced.len() + 1);
+            let junk = garbage[rng.below(garbage.len())];
+            spliced.splice(at..at, junk.iter().copied());
+            parses(&spliced);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,9 @@
 //!   time-series [`Sample`]s taken on the sanitizer's 65536-event
 //!   cadence;
 //! * exporters to Chrome-trace/Perfetto JSON and compact JSONL
-//!   ([`export`]).
+//!   ([`export`]);
+//! * the workspace's one JSON codec ([`json`]): the exact-text reader
+//!   and string escaper every other crate reads and writes JSON with.
 //!
 //! Everything is keyed on **sim cycles** — this crate never reads the
 //! wall clock and has no entropy source, so for a fixed seed the
@@ -25,6 +27,7 @@
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod ring;
 
 pub use hist::LatencyHistogram;
